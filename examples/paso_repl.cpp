@@ -77,11 +77,11 @@ int main(int argc, char** argv) {
   // Durable disks on: a `crash` + `recover` here replays the machine's WAL
   // and rejoins via a delta transfer — watch it with `persist-stats`.
   config.persistence.enabled = true;
-  // `--transport=threaded` runs the shell on the real-clock threaded
-  // transport: durations become wall microseconds, ops run on real worker
-  // threads instead of virtual time.
+  // `--transport=threaded|socket` runs the shell on a real-clock transport:
+  // durations become wall microseconds, ops run on real worker threads (or
+  // machine processes) instead of virtual time.
   config.transport = examples::transport_from_args(argc, argv);
-  const bool threaded = config.transport == TransportKind::kThreaded;
+  const bool real_clock = config.transport != TransportKind::kSim;
   // `--segments N` splits the bus into N bridged segments (try 2 and watch
   // `topology` after a few cross-segment reads).
   std::size_t segments = 1;
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
         const ProcessId p = cluster.process(MachineId{m});
         bool done = false;
         ObjectId id{};
-        if (threaded) {
+        if (real_clock) {
           // Issue under the stack lock, then wait for the fabric to report
           // the completion (checked under the same lock).
           cluster.transport().run_exclusive([&] {
@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
                      .insert(p, {Value{key}, Value{text}},
                              [&done] { done = true; });
           });
-          cluster.threaded_transport().quiesce([&done] { return done; });
+          cluster.fabric().quiesce([&done] { return done; });
         } else {
           id = cluster.runtime(p.machine)
                    .insert(p, {Value{key}, Value{text}},
@@ -194,11 +194,10 @@ int main(int argc, char** argv) {
           std::cout << "\n";
         }
       } else if (cmd == "topology") {
-        if (threaded) {
+        if (real_clock) {
           std::cout << "per-segment bus stats are sim-transport only; "
-                    << "crossings=" << cluster.threaded_transport().crossings()
-                    << " msgs=" << cluster.threaded_transport().messages()
-                    << "\n";
+                    << "crossings=" << cluster.fabric().crossings()
+                    << " msgs=" << cluster.fabric().messages() << "\n";
           continue;
         }
         const auto& net = cluster.network();

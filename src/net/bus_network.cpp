@@ -20,27 +20,23 @@ void BusNetwork::send(MachineId from, MachineId to, const std::string& tag,
 
   const std::uint32_t sf = topology_.segment_of(from);
   const std::uint32_t st = topology_.segment_of(to);
-  const CostModel& src = topology_.segment_model(sf);
-
-  Cost cost = 0;         // total charged msg-cost
-  Cost alpha_part = 0;   // fixed-overhead share (for the alpha/beta split)
-  sim::SimTime start = 0;  // transmission begin on the source bus
-  sim::SimTime end = 0;    // arrival at the destination machine
-  std::size_t hops = 0;
-  bool shed = false;       // dropped at a full bounded bridge ingress
+  // The unshed charge's legs time the bus reservations; a crossing shed
+  // below is re-priced without its destination leg.
+  Charge c = charge(topology_, sf, st, bytes, /*shed=*/false);
+  // Transmission begins on the source bus when it frees up.
+  sim::SimTime start = std::max(simulator_.now(), segment_free_[sf]);
+  sim::SimTime end = 0;  // arrival at the destination machine
+  bool shed = false;     // dropped at a full bounded bridge ingress
 
   if (sf == st) {
-    // One serializing bus: transmission begins when it frees up, delivery
-    // happens at transmission end — the classic single-bus model.
-    cost = src.message(bytes);
-    alpha_part = src.alpha;
-    start = std::max(simulator_.now(), segment_free_[sf]);
-    end = start + cost;
+    // One serializing bus: delivery happens at transmission end — the
+    // classic single-bus model.
+    end = start + c.cost;
     segment_free_[sf] = end;
     SegmentStats& stats = segment_stats_[sf];
     ++stats.messages;
     stats.bytes += bytes;
-    stats.busy += cost;
+    stats.busy += c.cost;
   } else {
     // Crossing: occupy the source bus, pay the per-hop bridge latency, then
     // occupy the destination bus (store-and-forward; only the shared buses
@@ -48,20 +44,13 @@ void BusNetwork::send(MachineId from, MachineId to, const std::string& tag,
     // send order. With Topology::bridge_capacity set, the destination
     // ingress is a *bounded* buffer: a crossing that would find it full is
     // shed or back-pressured per the topology's BridgePolicy.
-    const CostModel& dst = topology_.segment_model(st);
-    hops = sf < st ? st - sf : sf - st;
-    const Cost src_cost = src.message(bytes);
-    const Cost dst_cost = dst.message(bytes);
-    const Cost bridge = static_cast<Cost>(hops) * topology_.bridge_cost(bytes);
-    start = std::max(simulator_.now(), segment_free_[sf]);
-
     std::deque<sim::SimTime>& queue = ingress_[st];
     // Reservations whose destination transmission began by `now` can never
     // count against any future arrival (arrivals are never in the past).
     while (!queue.empty() && queue.front() <= simulator_.now()) {
       queue.pop_front();
     }
-    sim::SimTime arrive = start + src_cost + bridge;
+    sim::SimTime arrive = start + c.src + c.bridge;
     if (topology_.bounded_bridges()) {
       const std::size_t capacity = topology_.bridge_capacity();
       // Occupancy this crossing finds on arrival: reserved crossings whose
@@ -77,8 +66,8 @@ void BusNetwork::send(MachineId from, MachineId to, const std::string& tag,
           // buffer drains to capacity-1 once the (|q|-capacity)-th queued
           // departure has begun.
           const sim::SimTime room = queue[queue.size() - capacity];
-          start = std::max(start, room - bridge - src_cost);
-          arrive = start + src_cost + bridge;
+          start = std::max(start, room - c.bridge - c.src);
+          arrive = start + c.src + c.bridge;
           ++bridge_backpressured_;
         } else {
           shed = true;
@@ -86,34 +75,28 @@ void BusNetwork::send(MachineId from, MachineId to, const std::string& tag,
       }
     }
 
-    const sim::SimTime src_end = start + src_cost;
-    segment_free_[sf] = src_end;
+    segment_free_[sf] = start + c.src;
     SegmentStats& sstats = segment_stats_[sf];
     ++sstats.messages;
     sstats.bytes += bytes;
-    sstats.busy += src_cost;
+    sstats.busy += c.src;
     ++crossings_;
 
     if (shed) {
       // The source bus transmitted and the bridge hops were traversed, but
       // the message died at the full ingress: charge what actually moved,
       // never touch the destination bus.
-      cost = src_cost + bridge;
-      alpha_part =
-          src.alpha + static_cast<Cost>(hops) * topology_.bridge_alpha();
+      c = charge(topology_, sf, st, bytes, /*shed=*/true);
       end = arrive;
       ++bridge_shed_;
     } else {
-      cost = src_cost + bridge + dst_cost;
-      alpha_part = src.alpha + dst.alpha +
-                   static_cast<Cost>(hops) * topology_.bridge_alpha();
       const sim::SimTime dst_start = std::max(arrive, segment_free_[st]);
-      end = dst_start + dst_cost;
+      end = dst_start + c.dst;
       segment_free_[st] = end;
       SegmentStats& dstats = segment_stats_[st];
       ++dstats.messages;
       dstats.bytes += bytes;
-      dstats.busy += dst_cost;
+      dstats.busy += c.dst;
       queue.push_back(dst_start);
       const std::size_t depth = static_cast<std::size_t>(
           queue.end() -
@@ -122,24 +105,7 @@ void BusNetwork::send(MachineId from, MachineId to, const std::string& tag,
     }
   }
 
-  ledger_.charge_message(tag, bytes, cost);
-  if (obs_.metrics != nullptr) {
-    obs_.metrics->counter("net.messages").inc();
-    obs_.metrics->counter("net.bytes").inc(bytes);
-    obs_.metrics->gauge("net.cost.alpha").add(alpha_part);
-    obs_.metrics->gauge("net.cost.beta").add(cost - alpha_part);
-    if (segment_count() > 1) {
-      obs_.metrics->counter("net.segment." + std::to_string(sf) + ".messages")
-          .inc();
-      if (hops > 0) obs_.metrics->counter("net.crossings").inc();
-      if (shed) obs_.metrics->counter("net.bridge.shed").inc();
-    }
-  }
-  if (obs_.tracer != nullptr) {
-    obs_.tracer->record_message(tag, bytes, alpha_part, cost - alpha_part,
-                                simulator_.now(), sf, st,
-                                static_cast<std::uint32_t>(hops));
-  }
+  record_send(*this, tag, bytes, sf, st, c, shed);
 
   // A shed crossing never reaches the destination bus: nothing to deliver.
   if (shed) return;

@@ -25,8 +25,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr std::size_t kInvalidMachine = static_cast<std::size_t>(-1);
-
 std::uint64_t fresh_token() {
   // Tokens only need to make a stray/stale connection implausible, not be
   // cryptographic: a respawned machine must not be impersonated by the old
@@ -75,15 +73,9 @@ int make_listener(std::uint16_t& port_out, int backlog) {
 SocketTransport::SocketTransport(CostModel model, std::size_t n,
                                  Topology topology,
                                  SocketTransportOptions options)
-    : model_(model),
-      topology_(topology.resolve(n, model)),
+    : RealClockFabric(model, n, std::move(topology)),
       options_(options),
-      shards_(n),
-      up_(n),
       crossing_inflight_(topology_.segment_count()) {
-  PASO_REQUIRE(n > 0, "socket transport needs at least one machine");
-  ledger_.ensure_machines(n);
-  for (auto& up : up_) up.store(true, std::memory_order_relaxed);
   for (auto& c : crossing_inflight_) c.store(0, std::memory_order_relaxed);
 
   listen_fd_ = make_listener(port_, static_cast<int>(n) + 8);
@@ -109,34 +101,27 @@ SocketTransport::SocketTransport(CostModel model, std::size_t n,
   // fork-only children (no exec) continue from fork() into the endpoint
   // loop, which is only sound from an effectively single-threaded parent.
   for (std::uint32_t m = 0; m < n; ++m) {
-    proc::SpawnSpec spec;
-    spec.endpoint.port = port_;
-    spec.endpoint.machine = m;
-    spec.endpoint.token = endpoints_[m]->token.load(std::memory_order_relaxed);
-    spec.endpoint.ingress_capacity = options_.ingress_capacity;
-    spec.endpoint.heartbeat_interval_us = options_.heartbeat_interval_us;
-    spec.exec_path = options_.machined_path;
-    const int pid = proc::spawn_machine_process(spec);
-    PASO_REQUIRE(pid > 0, "socket transport: spawn failed");
-    supervisor_->adopt(m, pid);
+    PASO_REQUIRE(spawn(m), "socket transport: spawn failed");
   }
 
-  PASO_REQUIRE(await_handshakes(n, options_.handshake_timeout_us),
-               "socket transport: machine processes failed to hand-shake");
-
-  // Only now (children forked, endpoints attached) does the broker grow
-  // threads: the timer loop, the supervisor monitor, IO and dispatch.
-  // Timer callbacks run under the stack shards of the domain captured when
-  // they were scheduled, so timer chains inherit their root's domain.
-  executor_ = std::make_unique<exec::ThreadedExecutor>(
-      [this](exec::Executor::Action&& action, std::uint64_t ctx) {
-        DomainLock lock(shards_, ctx);
-        DomainScope scope(this, ctx);
-        if (!stopping_.load(std::memory_order_relaxed)) action();
-      },
-      [this] { return context_mask(); });
-  supervisor_->start();
+  // Only now (children forked) does the broker grow threads. The IO
+  // thread's accept path hand-shakes every machine process, exactly as it
+  // does a respawned one; the timer loop, the supervisor monitor and the
+  // dispatcher start once all of them are attached.
   io_thread_ = std::thread([this] { io_loop(); });
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::microseconds(options_.handshake_timeout_us);
+  bool attached = true;
+  for (const auto& ep : endpoints_) {
+    attached = attached && await_attach(*ep, deadline);
+  }
+  if (!attached) {
+    shutdown();  // joins the IO thread and reaps every child
+    PASO_REQUIRE(attached,
+                 "socket transport: machine processes failed to hand-shake");
+  }
+  start_executor();
+  supervisor_->start();
   dispatch_thread_ = std::thread([this] { dispatch_loop(); });
 }
 
@@ -144,51 +129,6 @@ SocketTransport::~SocketTransport() { shutdown(); }
 
 void SocketTransport::set_peer_death_hook(PeerDeathHook hook) {
   death_hook_ = std::move(hook);
-}
-
-void SocketTransport::set_up(MachineId machine, bool up) {
-  PASO_REQUIRE(machine.value < up_.size(), "unknown machine");
-  up_[machine.value].store(up, std::memory_order_release);
-}
-
-bool SocketTransport::is_up(MachineId machine) const {
-  PASO_REQUIRE(machine.value < up_.size(), "unknown machine");
-  return up_[machine.value].load(std::memory_order_acquire);
-}
-
-void SocketTransport::set_obs(obs::Obs o) { obs_ = o; }
-
-obs::Obs SocketTransport::observability() const { return obs_; }
-
-void SocketTransport::run_exclusive(const std::function<void()>& fn) {
-  DomainLock lock(shards_, kGlobalDomain);
-  DomainScope scope(this, kGlobalDomain);
-  fn();
-}
-
-void SocketTransport::run_scoped(std::uint64_t domain,
-                                 const std::function<void()>& fn) {
-  DomainLock lock(shards_, domain);
-  DomainScope scope(this, domain);
-  fn();
-}
-
-bool SocketTransport::context_is_global() const {
-  return context_mask() == kGlobalDomain;
-}
-
-void SocketTransport::defer_exclusive(std::function<void()> fn) {
-  // Re-run `fn` outside the current (narrow) domain: schedule it with a
-  // forced-global context so the timer runner takes every shard.
-  DomainScope scope(this, kGlobalDomain);
-  executor_->schedule_after(0, std::move(fn));
-}
-
-void SocketTransport::with_global_context(const std::function<void()>& fn) {
-  // No locks taken — only widens the advertised context so nested sends
-  // capture the global domain (cross-domain notification hops).
-  DomainScope scope(this, kGlobalDomain);
-  fn();
 }
 
 int SocketTransport::child_pid(MachineId m) const {
@@ -200,101 +140,21 @@ bool SocketTransport::endpoint_alive(MachineId m) const {
   return !endpoints_[m.value]->dead.load(std::memory_order_acquire);
 }
 
-void SocketTransport::send(MachineId from, MachineId to, const std::string& tag,
-                           std::size_t bytes, Delivery deliver) {
-  PASO_REQUIRE(from.value < up_.size() && to.value < up_.size(),
-               "unknown machine");
-  PASO_REQUIRE(deliver != nullptr, "null delivery");
-  if (stopping_.load(std::memory_order_relaxed)) return;
-  if (!is_up(from)) return;  // a crashed machine sends nothing
-
-  // The delivery's domain: everything the sending execution may touch,
-  // widened by the destination — same contract as the threaded transport.
-  const DomainMask domain = context_mask() | domain_bit(to.value);
-
-  if (from == to) {
-    // Local hand-off: no wire, no cost — the socket analogue of the
-    // simulator's schedule_after(0); runs under the domain's stack shards
-    // on the timer thread.
-    DomainScope scope(this, domain);
-    executor_->schedule_after(0, std::move(deliver));
-    return;
-  }
-
-  const std::uint32_t sf = topology_.segment_of(from);
-  const std::uint32_t st = topology_.segment_of(to);
-  const CostModel& src = topology_.segment_model(sf);
-
-  // Model-cost accounting, identical to the simulated bus and the threaded
-  // transport — that identity is what lets trace_diff reconcile a socket
-  // run's CostLedger against a simulated replay exactly. The ledger
-  // serializes internally; obs handles are only touched under the global
-  // domain (context_mask forces global whenever obs is installed).
-  Cost cost = 0;
-  Cost alpha_part = 0;
-  std::size_t hops = 0;
-  bool shed = false;
-  if (sf == st) {
-    cost = src.message(bytes);
-    alpha_part = src.alpha;
-    enqueue_msg(to, /*crossing=*/false, st, bytes, std::move(deliver), domain);
-  } else {
-    const CostModel& dst = topology_.segment_model(st);
-    hops = sf < st ? st - sf : sf - st;
-    const Cost bridge = static_cast<Cost>(hops) * topology_.bridge_cost(bytes);
-    crossings_.fetch_add(1, std::memory_order_relaxed);
+bool SocketTransport::transmit(MachineId to, std::uint32_t dst_segment,
+                               bool crossing, std::size_t bytes,
+                               Sealed sealed) {
+  if (crossing) {
     // Bounded bridge ingress: the broker mirrors the destination process's
     // ingress occupancy as an in-flight crossing credit per segment (frames
     // sent, ack not yet back). At the cap the crossing is shed at
-    // transmission begin — backpressure degrades to shed on a real-clock
-    // transport for the same reason as the threaded one: the sender holds
-    // the stack lock that delivery needs, so waiting for room would
-    // deadlock the fabric.
+    // transmission begin.
     if (topology_.bounded_bridges() &&
-        crossing_inflight_[st].load(std::memory_order_acquire) >=
+        crossing_inflight_[dst_segment].load(std::memory_order_acquire) >=
             topology_.bridge_capacity()) {
-      shed = true;
+      return false;
     }
-    if (shed) {
-      // The crossing died at the full ingress: charge the source bus and
-      // the bridge hops that actually carried it, never the destination.
-      cost = src.message(bytes) + bridge;
-      alpha_part =
-          src.alpha + static_cast<Cost>(hops) * topology_.bridge_alpha();
-      bridge_shed_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      cost = src.message(bytes) + bridge + dst.message(bytes);
-      alpha_part = src.alpha + dst.alpha +
-                   static_cast<Cost>(hops) * topology_.bridge_alpha();
-      crossing_inflight_[st].fetch_add(1, std::memory_order_acq_rel);
-      enqueue_msg(to, /*crossing=*/true, st, bytes, std::move(deliver), domain);
-    }
+    crossing_inflight_[dst_segment].fetch_add(1, std::memory_order_acq_rel);
   }
-  ledger_.charge_message(tag, bytes, cost);
-  messages_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  if (obs_.metrics != nullptr) {
-    obs_.metrics->counter("net.messages").inc();
-    obs_.metrics->counter("net.bytes").inc(bytes);
-    obs_.metrics->gauge("net.cost.alpha").add(alpha_part);
-    obs_.metrics->gauge("net.cost.beta").add(cost - alpha_part);
-    if (segment_count() > 1) {
-      obs_.metrics->counter("net.segment." + std::to_string(sf) + ".messages")
-          .inc();
-      if (hops > 0) obs_.metrics->counter("net.crossings").inc();
-      if (shed) obs_.metrics->counter("net.bridge.shed").inc();
-    }
-  }
-  if (obs_.tracer != nullptr) {
-    obs_.tracer->record_message(tag, bytes, alpha_part, cost - alpha_part,
-                                executor_->now(), sf, st,
-                                static_cast<std::uint32_t>(hops));
-  }
-}
-
-void SocketTransport::enqueue_msg(MachineId to, bool crossing,
-                                  std::uint32_t dst_segment, std::size_t bytes,
-                                  Delivery deliver, DomainMask domain) {
   Endpoint& ep = *endpoints_[to.value];
   if (ep.dead.load(std::memory_order_acquire)) {
     // The destination's process is gone but the protocol crash hasn't
@@ -305,7 +165,7 @@ void SocketTransport::enqueue_msg(MachineId to, bool crossing,
     if (crossing) {
       crossing_inflight_[dst_segment].fetch_sub(1, std::memory_order_acq_rel);
     }
-    return;  // `deliver` destroyed here, under the caller's stack shards
+    return true;  // `sealed` destroyed here, under the caller's stack shards
   }
 
   inflight_.fetch_add(1, std::memory_order_acq_rel);
@@ -315,12 +175,12 @@ void SocketTransport::enqueue_msg(MachineId to, bool crossing,
     // toward the same endpoint serialize here, not on the stack lock.
     std::lock_guard<std::mutex> lock(io_mu_);
     const std::uint64_t seq = ep.next_seq++;
-    ep.pending.push_back({seq, crossing, dst_segment, std::move(deliver),
-                          domain});
+    ep.pending.push_back({seq, crossing, dst_segment, std::move(sealed)});
     append_wire(ep, FrameType::kMsg, static_cast<std::uint32_t>(to.value), seq,
                 bytes);
   }
   wake_io();
+  return true;
 }
 
 void SocketTransport::append_wire(Endpoint& ep, FrameType type,
@@ -403,14 +263,14 @@ void SocketTransport::wake_io() {
   [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &b, 1);
 }
 
-std::size_t SocketTransport::attach_connection(int fd, const Frame& hello) {
+void SocketTransport::attach_connection(int fd, const Frame& hello) {
   const std::size_t m = hello.machine;
   if (m >= endpoints_.size() ||
       hello.seq != endpoints_[m]->token.load(std::memory_order_acquire) ||
       !endpoints_[m]->dead.load(std::memory_order_acquire)) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     ::close(fd);
-    return kInvalidMachine;
+    return;
   }
   Endpoint& ep = *endpoints_[m];
   set_nonblocking_nodelay(fd);
@@ -429,83 +289,14 @@ std::size_t SocketTransport::attach_connection(int fd, const Frame& hello) {
   }
   supervisor_->beat(static_cast<std::uint32_t>(m));
   ep.dead.store(false, std::memory_order_release);
-  return m;
 }
 
-bool SocketTransport::await_handshakes(std::size_t expected, long timeout_us) {
-  // Synchronous accept/Hello loop: used by the constructor (no IO thread
-  // yet) to gather every machine process. Respawn handshakes ride the IO
-  // thread's identical accept path instead.
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::microseconds(timeout_us);
-  std::size_t attached = 0;
-  std::vector<PendingConn> conns;
-  while (attached < expected) {
-    if (Clock::now() >= deadline) {
-      for (PendingConn& c : conns) ::close(c.fd);
-      return false;
-    }
-    std::vector<pollfd> fds;
-    fds.push_back({listen_fd_, POLLIN, 0});
-    for (const PendingConn& c : conns) fds.push_back({c.fd, POLLIN, 0});
-    // Connections accepted below grow `conns` past what was polled; only
-    // the first `polled` entries have a pollfd this round.
-    const std::size_t polled = conns.size();
-    // Sleep toward the handshake deadline, not a fixed tick: connection and
-    // Hello arrivals wake the poll, the deadline bounds a silent child.
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    const int timeout_ms =
-        left.count() < 1 ? 1 : static_cast<int>(std::min<long long>(
-                                   left.count(), 1'000));
-    ::poll(fds.data(), fds.size(), timeout_ms);
-    if (fds[0].revents & POLLIN) {
-      for (;;) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) break;
-        conns.push_back({fd, FrameDecoder{}, deadline});
-      }
-    }
-    // fds[j + 1] polled conns[i]; erasing a conn shifts later ones down
-    // while their pollfds stay put, so the two indices advance separately.
-    std::size_t i = 0;
-    for (std::size_t j = 0; j < polled; ++j) {
-      if (!(fds[j + 1].revents & (POLLIN | POLLHUP | POLLERR))) {
-        ++i;
-        continue;
-      }
-      char buf[256];
-      const ssize_t n = ::recv(conns[i].fd, buf, sizeof(buf), 0);
-      if (n <= 0) {
-        if (n < 0 && (errno == EINTR || errno == EAGAIN)) {
-          ++i;
-          continue;
-        }
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        ::close(conns[i].fd);
-        conns.erase(conns.begin() + static_cast<long>(i));
-        continue;
-      }
-      conns[i].decoder.feed(buf, static_cast<std::size_t>(n));
-      const DecodeResult r = conns[i].decoder.next();
-      if (r.error != FrameErrorKind::kNone ||
-          (r.has_frame && r.frame.type != FrameType::kHello)) {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        ::close(conns[i].fd);
-        conns.erase(conns.begin() + static_cast<long>(i));
-        continue;
-      }
-      if (!r.has_frame) {
-        ++i;
-        continue;
-      }
-      if (attach_connection(conns[i].fd, r.frame) != kInvalidMachine) {
-        ++attached;
-      }
-      conns.erase(conns.begin() + static_cast<long>(i));
-    }
+bool SocketTransport::await_attach(const Endpoint& ep,
+                                   Clock::time_point deadline) const {
+  while (ep.dead.load(std::memory_order_acquire)) {
+    if (Clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  for (PendingConn& c : conns) ::close(c.fd);
   return true;
 }
 
@@ -560,19 +351,17 @@ void SocketTransport::handle_frames(std::uint32_t machine) {
     if (!r.has_frame) return;
     switch (r.frame.type) {
       case FrameType::kDeliver: {
-        Delivery deliver;
+        Sealed sealed;
         bool fifo_ok = false;
         bool crossing = false;
         std::uint32_t dst_segment = 0;
-        DomainMask domain = kGlobalDomain;
         {
           std::lock_guard<std::mutex> lock(io_mu_);
           if (!ep.pending.empty() && ep.pending.front().seq == r.frame.seq) {
             fifo_ok = true;
             crossing = ep.pending.front().crossing;
             dst_segment = ep.pending.front().dst_segment;
-            domain = ep.pending.front().domain;
-            deliver = std::move(ep.pending.front().deliver);
+            sealed = std::move(ep.pending.front().sealed);
             ep.pending.pop_front();
           }
         }
@@ -591,7 +380,7 @@ void SocketTransport::handle_frames(std::uint32_t machine) {
         supervisor_->beat(machine);
         {
           std::lock_guard<std::mutex> lock(dispatch_mu_);
-          dispatch_queue_.push_back({machine, std::move(deliver), domain});
+          dispatch_queue_.push_back({machine, std::move(sealed)});
         }
         dispatch_cv_.notify_one();
         break;
@@ -695,9 +484,9 @@ void SocketTransport::io_loop() {
       }
 
       if (owner == -2) {
-        // A connection here is either a respawned machine's Hello or
-        // garbage (tests point nc at us); it gets one second to present a
-        // valid Hello, then dies counted.
+        // A connection here is a machine process's Hello (at construction
+        // or after a respawn) or garbage (tests point nc at us); it gets one
+        // second to present a valid Hello, then dies counted.
         for (;;) {
           const int fd = ::accept(listen_fd_, nullptr, nullptr);
           if (fd < 0) break;
@@ -814,19 +603,9 @@ void SocketTransport::dispatch_loop() {
     }
     // Execute phase: each delivery runs under the stack shards of its own
     // domain, in ack order — narrow domains let deliveries toward disjoint
-    // machine sets overlap with issues elsewhere. The machine's up check
-    // happens at execution time, mirroring the simulated bus's
-    // delivery-time crash drop.
+    // machine sets overlap with issues elsewhere.
     const std::size_t executed = batch.size();
-    for (Dispatch& d : batch) {
-      DomainLock lock(shards_, d.domain);
-      DomainScope scope(this, d.domain);
-      if (!stopping_.load(std::memory_order_relaxed) &&
-          up_[d.machine].load(std::memory_order_acquire)) {
-        d.deliver();
-      }
-      d.deliver = nullptr;  // destroy the closure under its domain's shards
-    }
+    for (Dispatch& d : batch) execute(d.machine, d.sealed);
     batch.clear();
     // Deliveries leave "in flight" only after their effects are visible
     // under their shards; busy drops last so quiesce() cannot observe
@@ -836,67 +615,37 @@ void SocketTransport::dispatch_loop() {
   }
 }
 
+bool SocketTransport::spawn(std::uint32_t machine) {
+  proc::SpawnSpec spec;
+  spec.endpoint.port = port_;
+  spec.endpoint.machine = machine;
+  spec.endpoint.token =
+      endpoints_[machine]->token.load(std::memory_order_acquire);
+  spec.endpoint.ingress_capacity = options_.ingress_capacity;
+  spec.endpoint.heartbeat_interval_us = options_.heartbeat_interval_us;
+  spec.exec_path = options_.machined_path;
+  const int pid = proc::spawn_machine_process(spec);
+  if (pid <= 0) return false;
+  supervisor_->adopt(machine, pid);
+  return true;
+}
+
 bool SocketTransport::respawn(MachineId machine) {
   PASO_REQUIRE(machine.value < endpoints_.size(), "unknown machine");
   const std::uint32_t m = static_cast<std::uint32_t>(machine.value);
   Endpoint& ep = *endpoints_[m];
   PASO_REQUIRE(ep.dead.load(std::memory_order_acquire),
                "respawn of a live endpoint");
-  const std::uint64_t token = fresh_token();
-  ep.token.store(token, std::memory_order_release);
-
-  proc::SpawnSpec spec;
-  spec.endpoint.port = port_;
-  spec.endpoint.machine = m;
-  spec.endpoint.token = token;
-  spec.endpoint.ingress_capacity = options_.ingress_capacity;
-  spec.endpoint.heartbeat_interval_us = options_.heartbeat_interval_us;
-  spec.exec_path = options_.machined_path;
-  const int pid = proc::spawn_machine_process(spec);
-  if (pid <= 0) return false;
-  supervisor_->adopt(m, pid);
+  ep.token.store(fresh_token(), std::memory_order_release);
+  if (!spawn(m)) return false;
 
   // The IO thread's accept path completes the handshake; wait it out.
-  const Clock::time_point deadline =
-      Clock::now() +
-      std::chrono::microseconds(options_.handshake_timeout_us);
-  while (ep.dead.load(std::memory_order_acquire)) {
-    if (Clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return true;
-}
-
-bool SocketTransport::quiesce(const std::function<bool()>& done,
-                              exec::Time timeout_us) {
-  const exec::Time deadline = executor_->now() + timeout_us;
-  int stable = 0;
-  while (stable < 3) {
-    // Quiet = nothing moving anywhere: no delivery on the wire or in a
-    // child's ingress or awaiting dispatch, no dispatcher mid-batch, no
-    // executor action running, and an *empty* timer queue — same contract
-    // (and same `== kNever` subtlety) as ThreadedTransport::quiesce.
-    bool quiet = inflight_deliveries() == 0 &&
-                 !dispatcher_busy_.load(std::memory_order_acquire) &&
-                 !executor_->running_action() &&
-                 executor_->next_due() == exec::kNever;
-    if (quiet && done) {
-      run_exclusive([&] { quiet = done(); });
-    }
-    stable = quiet ? stable + 1 : 0;
-    if (executor_->now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  return true;
+  return await_attach(ep, Clock::now() + std::chrono::microseconds(
+                                             options_.handshake_timeout_us));
 }
 
 void SocketTransport::shutdown() {
-  if (shut_down_) return;
-  shut_down_ = true;
-
-  // Stop the timer loop first (joins its thread: no more timer actions).
-  stopping_.store(true, std::memory_order_release);
-  if (executor_) executor_->stop();
+  if (!begin_shutdown()) return;
 
   // Every machine process is now expected to exit: tell them to drain, and
   // let the supervisor treat the resulting EOFs/exits as planned.

@@ -17,11 +17,11 @@
 //     stack lock, so frames enter the wire one at a time, in a single
 //     global order, exactly like transmissions on the paper's serializing
 //     bus — the "token" is the broker itself.
-//   * Model costs are charged at transmission begin with the identical
-//     alpha/beta/bridge formula the simulated bus and the threaded
-//     transport use, so a socket run's CostLedger reconciles exactly
-//     against a simulated replay of the same trace (tools/trace_diff
-//     --transport=all asserts this three ways).
+//   * Model costs are charged at transmission begin by the shared
+//     net::RealClockFabric send path through net::charge, the one formula
+//     the simulated bus and the threaded transport use too, so a socket
+//     run's CostLedger reconciles exactly against a simulated replay of the
+//     same trace (tools/trace_diff --transport=all asserts this three ways).
 //   * Bounded bridges (Topology::with_bridge_limit): the destination
 //     process's ingress is this transport's bridge buffer. The broker
 //     mirrors its occupancy as a per-destination-segment in-flight credit
@@ -45,9 +45,10 @@
 // pending-handshake deadline — no fixed poll tick), one dispatcher thread
 // executing delivered closures, and the ThreadedExecutor's timer thread.
 // All protocol execution — issues, deliveries, timer callbacks — runs
-// under the machine-sharded stack lock (net/shard.hpp), identical to the
-// threaded transport's contract: each execution holds the shards of its
-// domain, acquired in ascending order; 1 cost unit = 1 microsecond.
+// under the machine-sharded stack lock (net/shard.hpp) that
+// net::RealClockFabric owns, the threaded transport's contract: each
+// execution holds the shards of its domain, acquired in ascending order;
+// 1 cost unit = 1 microsecond.
 // Output IO is batched: frames queued toward an endpoint accumulate in
 // pooled slabs and leave in a single writev (frames_sent/write_syscalls
 // counters expose the coalescing ratio).
@@ -64,10 +65,8 @@
 #include <thread>
 #include <vector>
 
-#include "exec/threaded_executor.hpp"
 #include "net/frame.hpp"
-#include "net/shard.hpp"
-#include "net/transport.hpp"
+#include "net/real_clock_fabric.hpp"
 #include "proc/supervisor.hpp"
 
 namespace paso::net {
@@ -88,35 +87,12 @@ struct SocketTransportOptions {
   std::string machined_path;
 };
 
-class SocketTransport final : public Transport {
+class SocketTransport final : public RealClockFabric {
  public:
   SocketTransport(CostModel model, std::size_t n, Topology topology = {},
                   SocketTransportOptions options = {});
   ~SocketTransport() override;
 
-  SocketTransport(const SocketTransport&) = delete;
-  SocketTransport& operator=(const SocketTransport&) = delete;
-
-  // --- Transport -------------------------------------------------------------
-  void send(MachineId from, MachineId to, const std::string& tag,
-            std::size_t bytes, Delivery deliver) override;
-  void set_up(MachineId machine, bool up) override;
-  bool is_up(MachineId machine) const override;
-  std::size_t machine_count() const override { return up_.size(); }
-  const CostModel& cost_model() const override { return model_; }
-  const Topology& topology() const override { return topology_; }
-  CostLedger& ledger() override { return ledger_; }
-  const CostLedger& ledger() const override { return ledger_; }
-  exec::Executor& executor() override { return *executor_; }
-  const exec::Executor& executor() const override { return *executor_; }
-  void set_obs(obs::Obs o) override;
-  obs::Obs observability() const override;
-  void run_exclusive(const std::function<void()>& fn) override;
-  void run_scoped(std::uint64_t domain,
-                  const std::function<void()>& fn) override;
-  bool context_is_global() const override;
-  void defer_exclusive(std::function<void()> fn) override;
-  void with_global_context(const std::function<void()>& fn) override;
   void shutdown() override;
 
   // --- process plane ----------------------------------------------------------
@@ -137,20 +113,7 @@ class SocketTransport final : public Transport {
   /// protocol-level recovery (Cluster::recover) is the caller's next step.
   bool respawn(MachineId m);
 
-  // --- fabric observers -------------------------------------------------------
-  std::uint64_t messages() const {
-    return messages_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t bytes_sent() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t crossings() const {
-    return crossings_.load(std::memory_order_relaxed);
-  }
-  /// Crossings shed at an exhausted bounded-bridge credit.
-  std::uint64_t bridge_shed() const {
-    return bridge_shed_.load(std::memory_order_relaxed);
-  }
+  // --- wire observers ----------------------------------------------------------
   /// Frames round-tripped through a machine process and acked back.
   std::uint64_t acks_received() const {
     return acks_.load(std::memory_order_relaxed);
@@ -175,22 +138,6 @@ class SocketTransport final : public Transport {
     return rejected_.load(std::memory_order_relaxed);
   }
   std::uint16_t port() const { return port_; }
-  const exec::ThreadedExecutor& threaded_executor() const {
-    return *executor_;
-  }
-
-  /// Deliveries sent but not yet executed (wire + child ingress + dispatch
-  /// queue + in dispatcher).
-  std::uint64_t inflight_deliveries() const {
-    return inflight_.load(std::memory_order_acquire);
-  }
-
-  /// Block until the fabric is quiet (no in-flight deliveries, dispatcher
-  /// idle, timer queue empty — same contract as ThreadedTransport::quiesce)
-  /// and `done` (under the stack lock; may be null) holds, stable across a
-  /// few polls. False on timeout.
-  bool quiesce(const std::function<bool()>& done = {},
-               exec::Time timeout_us = 30'000'000);
 
  private:
   /// Broker-side state of one machine's endpoint connection.
@@ -210,8 +157,7 @@ class SocketTransport final : public Transport {
       std::uint64_t seq;
       bool crossing;
       std::uint32_t dst_segment;
-      Delivery deliver;
-      DomainMask domain = kGlobalDomain;
+      Sealed sealed;
     };
     std::deque<Pending> pending;
     std::uint64_t next_seq = 1;  ///< io_mu_
@@ -234,17 +180,23 @@ class SocketTransport final : public Transport {
   void handle_frames(std::uint32_t machine);
   /// Funnel for every death signal; idempotent per incarnation.
   void handle_peer_death(std::uint32_t machine, const std::string& reason);
-  /// Accept + Hello/HelloAck for one expected machine set; used by the
-  /// constructor (all machines) and respawn (one machine). Caller must not
-  /// hold io_mu_. Returns false on deadline.
-  bool await_handshakes(std::size_t expected, long timeout_us);
+  /// Wait until the IO thread has attached `ep`'s process (its Hello
+  /// checked, HelloAck queued). False once `deadline` passes.
+  bool await_attach(const Endpoint& ep,
+                    std::chrono::steady_clock::time_point deadline) const;
+  /// Fork (or fork+exec) machine's process with its endpoint's current
+  /// token and hand it to the supervisor. False when the spawn failed.
+  bool spawn(std::uint32_t machine);
   /// Validate a Hello on `fd`; attach as machine endpoint or reject.
-  /// Returns the attached machine or SIZE_MAX.
-  std::size_t attach_connection(int fd, const Frame& hello);
+  void attach_connection(int fd, const Frame& hello);
   /// Frame a transmission toward `to` and queue its delivery on the ack
-  /// FIFO with the stack-shard `domain` its execution must hold.
-  void enqueue_msg(MachineId to, bool crossing, std::uint32_t dst_segment,
-                   std::size_t bytes, Delivery deliver, DomainMask domain);
+  /// FIFO. A crossing over a bounded bridge is shed when the destination
+  /// segment's in-flight credit is exhausted.
+  bool transmit(MachineId to, std::uint32_t dst_segment, bool crossing,
+                std::size_t bytes, Sealed sealed) override;
+  bool delivery_threads_idle() const override {
+    return !dispatcher_busy_.load(std::memory_order_acquire);
+  }
   /// Append a frame header plus `payload_bytes` of zero filler to the
   /// endpoint's slab queue. Caller holds io_mu_.
   void append_wire(Endpoint& ep, FrameType type, std::uint32_t machine,
@@ -254,27 +206,8 @@ class SocketTransport final : public Transport {
   /// Flush the endpoint's slab queue with vectored writes until the wire
   /// blocks or the queue drains. Caller holds io_mu_.
   void flush_endpoint(Endpoint& ep);
-  /// The calling thread's ambient domain on THIS transport (global for
-  /// foreign threads); observability forces global — see threaded peer.
-  DomainMask context_mask() const {
-    if (obs_.metrics != nullptr || obs_.tracer != nullptr) {
-      return kGlobalDomain;
-    }
-    const DomainContext& c = tls_domain();
-    return c.owner == this ? c.mask : kGlobalDomain;
-  }
 
-  CostModel model_;
-  Topology topology_;
-  CostLedger ledger_;
-  obs::Obs obs_;
   SocketTransportOptions options_;
-
-  /// THE stack lock, sharded per machine: every protocol step (issue,
-  /// delivery, timer) holds the shards of its domain, ascending.
-  ShardedStackLock shards_;
-
-  std::unique_ptr<exec::ThreadedExecutor> executor_;
   std::unique_ptr<proc::Supervisor> supervisor_;
   PeerDeathHook death_hook_;
 
@@ -282,7 +215,6 @@ class SocketTransport final : public Transport {
   std::uint16_t port_ = 0;
   int wake_pipe_[2] = {-1, -1};
 
-  std::vector<std::atomic<bool>> up_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   /// io_mu_ guards every endpoint's outq/out_off/pending/bye/next_seq, the
   /// pending-conn list, the slab pool, and fd lifecycle transitions.
@@ -296,8 +228,7 @@ class SocketTransport final : public Transport {
   /// under their domain's stack shards in ack order.
   struct Dispatch {
     std::uint32_t machine;
-    Delivery deliver;
-    DomainMask domain = kGlobalDomain;
+    Sealed sealed;
   };
   std::mutex dispatch_mu_;
   std::condition_variable dispatch_cv_;
@@ -309,15 +240,8 @@ class SocketTransport final : public Transport {
 
   std::thread io_thread_;
   std::thread dispatch_thread_;
-  std::atomic<bool> stopping_{false};
   std::atomic<bool> io_stop_{false};
-  bool shut_down_ = false;
 
-  std::atomic<std::uint64_t> inflight_{0};
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> crossings_{0};
-  std::atomic<std::uint64_t> bridge_shed_{0};
   std::atomic<std::uint64_t> acks_{0};
   std::atomic<std::uint64_t> heartbeats_{0};
   std::atomic<std::uint64_t> rejected_{0};

@@ -46,13 +46,9 @@ Cost Topology::message_cost(MachineId from, MachineId to,
   if (from == to) return 0;
   PASO_REQUIRE(!degenerate(),
                "message_cost needs a resolved topology (see resolve())");
-  const std::uint32_t sf = segment_of(from);
-  const std::uint32_t st = segment_of(to);
-  if (sf == st) return segments_[sf].model.message(bytes);
-  const std::size_t h = sf < st ? st - sf : sf - st;
-  return segments_[sf].model.message(bytes) +
-         static_cast<Cost>(h) * bridge_cost(bytes) +
-         segments_[st].model.message(bytes);
+  return charge(*this, segment_of(from), segment_of(to), bytes,
+                /*shed=*/false)
+      .cost;
 }
 
 Topology Topology::resolve(std::size_t machines,
@@ -67,6 +63,31 @@ Topology Topology::resolve(std::size_t machines,
   PASO_REQUIRE(machine_segment_.size() == machines,
                "topology machine map does not match the machine count");
   return *this;
+}
+
+Charge charge(const Topology& topology, std::uint32_t src_seg,
+              std::uint32_t dst_seg, std::size_t bytes, bool shed) {
+  const CostModel& src = topology.segment_model(src_seg);
+  Charge c;
+  c.src = src.message(bytes);
+  if (src_seg == dst_seg) {
+    c.cost = c.src;
+    c.alpha = src.alpha;
+    return c;
+  }
+  c.hops = src_seg < dst_seg ? dst_seg - src_seg : src_seg - dst_seg;
+  const Cost hops = static_cast<Cost>(c.hops);
+  c.bridge = hops * topology.bridge_cost(bytes);
+  if (shed) {
+    c.cost = c.src + c.bridge;
+    c.alpha = src.alpha + hops * topology.bridge_alpha();
+    return c;
+  }
+  const CostModel& dst = topology.segment_model(dst_seg);
+  c.dst = dst.message(bytes);
+  c.cost = c.src + c.bridge + c.dst;
+  c.alpha = src.alpha + dst.alpha + hops * topology.bridge_alpha();
+  return c;
 }
 
 }  // namespace paso::net

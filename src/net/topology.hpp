@@ -114,11 +114,9 @@ class Topology {
     return bridge_alpha_ + bridge_beta_ * static_cast<Cost>(bytes);
   }
 
-  /// Model msg-cost of a transmission under this topology: the quantity
-  /// BusNetwork charges. Self-sends are free; intra-segment sends cost the
-  /// segment's alpha + beta*|m|; crossings add both end-segments' costs
-  /// plus one bridge cost per hop. Used by placement and support selection
-  /// to score candidates without a live network.
+  /// Model msg-cost of a transmission under this topology: charge(...).cost
+  /// for two machines, with self-sends free. Used by placement and support
+  /// selection to score candidates without a live network.
   Cost message_cost(MachineId from, MachineId to, std::size_t bytes) const;
 
   /// Concrete copy of this topology for a network of `machines` machines:
@@ -140,5 +138,29 @@ class Topology {
   std::size_t bridge_capacity_ = kUnboundedBridge;
   BridgePolicy bridge_policy_ = BridgePolicy::kShed;
 };
+
+/// What one transmission costs (see charge()).
+struct Charge {
+  Cost cost = 0;           ///< total msg-cost
+  Cost alpha = 0;          ///< its fixed-overhead share; the rest is beta
+  std::uint32_t hops = 0;  ///< bridges crossed
+  /// The legs `cost` sums, for the simulated bus to time its reservations
+  /// by: the source-bus transmission, all bridge hops together, and the
+  /// destination-bus transmission (0 within one segment or when shed).
+  Cost src = 0;
+  Cost bridge = 0;
+  Cost dst = 0;
+};
+
+/// THE msg-cost function, shared by every transport: a transmission of
+/// `bytes` from segment `src_seg` to `dst_seg` of a resolved topology costs
+/// the source segment's alpha + beta*|m|; a crossing adds one bridge cost
+/// per hop and then the destination segment's alpha + beta*|m|. A `shed`
+/// crossing died at a full bridge ingress and is charged only the source
+/// bus and the bridge hops that carried it. The sum runs src + bridge
+/// (+ dst), the one order every transport charges in, so totals are
+/// bit-identical across transports.
+Charge charge(const Topology& topology, std::uint32_t src_seg,
+              std::uint32_t dst_seg, std::size_t bytes, bool shed);
 
 }  // namespace paso::net

@@ -1,7 +1,7 @@
 // Transport: the network seam the protocol stack sends through.
 //
 // The PASO stack (GroupService, runtimes, memory servers) is written against
-// this interface. Two implementations exist:
+// this interface. Three implementations exist:
 //
 //   * net::BusNetwork (bus_network.hpp): the paper's serializing bus on the
 //     virtual-time simulator — deterministic, the substrate for tests,
@@ -10,11 +10,15 @@
 //     concurrent transport — one worker thread per machine, bounded
 //     lock-free SPSC delivery rings per (segment, machine), a per-segment
 //     transmit token preserving the bus's one-message-at-a-time semantics.
+//   * net::SocketTransport (socket_transport.hpp): a real-clock transport
+//     whose machines are OS processes on a TCP wire.
 //
-// Both charge the SAME model costs (alpha + beta*|m| per transmission, per
-// the declared wire size) to the CostLedger, so model-cost accounting stays
-// comparable across transports; only the clock driving delivery differs.
-// tools/trace_diff replays one op trace on both and checks exactly that.
+// The two real-clock transports share one base, net::RealClockFabric
+// (real_clock_fabric.hpp). All three charge the SAME model costs: each send
+// prices itself with net::charge (topology.hpp) and records the result with
+// record_send below, so model-cost accounting stays comparable across
+// transports; only the clock driving delivery differs. tools/trace_diff
+// replays one op trace on all three and checks exactly that.
 #pragma once
 
 #include <algorithm>
@@ -268,5 +272,37 @@ class Transport {
   std::size_t segment_count() const { return topology().segment_count(); }
   exec::Time now() const { return executor().now(); }
 };
+
+/// The one emission site for a transmission's charge, called once per
+/// send by every transport: the ledger charge, the net.* metrics and the
+/// tracer's per-message alpha/beta record. `shed` marks a crossing dropped
+/// at a full bridge ingress (its `charge` already excludes the destination).
+/// Obs handles are only touched where the transport guarantees exclusion
+/// (the real-clock transports force the global domain while obs is on).
+inline void record_send(Transport& net, const std::string& tag,
+                        std::size_t bytes, std::uint32_t src_seg,
+                        std::uint32_t dst_seg, const Charge& charge,
+                        bool shed) {
+  net.ledger().charge_message(tag, bytes, charge.cost);
+  const obs::Obs obs = net.observability();
+  if (obs.metrics != nullptr) {
+    obs.metrics->counter("net.messages").inc();
+    obs.metrics->counter("net.bytes").inc(bytes);
+    obs.metrics->gauge("net.cost.alpha").add(charge.alpha);
+    obs.metrics->gauge("net.cost.beta").add(charge.cost - charge.alpha);
+    if (net.segment_count() > 1) {
+      obs.metrics->counter("net.segment." + std::to_string(src_seg) +
+                           ".messages")
+          .inc();
+      if (charge.hops > 0) obs.metrics->counter("net.crossings").inc();
+      if (shed) obs.metrics->counter("net.bridge.shed").inc();
+    }
+  }
+  if (obs.tracer != nullptr) {
+    obs.tracer->record_message(tag, bytes, charge.alpha,
+                               charge.cost - charge.alpha, net.now(), src_seg,
+                               dst_seg, charge.hops);
+  }
+}
 
 }  // namespace paso::net

@@ -97,16 +97,24 @@ class Cluster {
     PASO_REQUIRE(bus_ != nullptr, "not a simulated-bus cluster");
     return *bus_;
   }
-  /// The threaded transport (quiesce, fabric counters). Threaded only.
-  net::ThreadedTransport& threaded_transport() {
-    PASO_REQUIRE(threaded_ != nullptr, "not a threaded cluster");
-    return *threaded_;
+  /// The real-clock fabric (quiesce, transmission counters) of a threaded
+  /// or socket cluster.
+  net::RealClockFabric& fabric() {
+    PASO_REQUIRE(fabric_ != nullptr, "not a real-clock cluster");
+    return *fabric_;
   }
-  /// The socket transport (child pids, supervisor, respawn, fabric
+  /// The threaded transport (ring overflow counter). Threaded only.
+  net::ThreadedTransport& threaded_transport() {
+    PASO_REQUIRE(config_.transport == TransportKind::kThreaded,
+                 "not a threaded cluster");
+    return static_cast<net::ThreadedTransport&>(*fabric_);
+  }
+  /// The socket transport (child pids, supervisor, respawn, wire
   /// counters). Socket clusters only.
   net::SocketTransport& socket_transport() {
-    PASO_REQUIRE(socket_ != nullptr, "not a socket cluster");
-    return *socket_;
+    PASO_REQUIRE(config_.transport == TransportKind::kSocket,
+                 "not a socket cluster");
+    return static_cast<net::SocketTransport&>(*fabric_);
   }
   vsync::GroupService& groups() { return *groups_; }
   net::CostLedger& ledger() { return transport_->ledger(); }
@@ -212,8 +220,8 @@ class Cluster {
                                     BlockingMode mode, sim::SimTime deadline);
 
   /// Let the cluster go quiet: drain the simulator's event queue (kSim) or
-  /// block until the threaded fabric has no deliveries in flight
-  /// (kThreaded; bounded wait, see ThreadedTransport::quiesce).
+  /// block until the real-clock fabric has no deliveries in flight
+  /// (bounded wait, see RealClockFabric::quiesce).
   void settle();
   /// Run for `duration` virtual time units (kSim) / microseconds (kThreaded).
   void settle_for(sim::SimTime duration);
@@ -246,8 +254,7 @@ class Cluster {
   std::unique_ptr<obs::Observability> obs_;
   std::unique_ptr<net::Transport> transport_;
   net::BusNetwork* bus_ = nullptr;            ///< transport_ when kSim
-  net::ThreadedTransport* threaded_ = nullptr;  ///< transport_ when kThreaded
-  net::SocketTransport* socket_ = nullptr;      ///< transport_ when kSocket
+  net::RealClockFabric* fabric_ = nullptr;  ///< transport_ unless kSim
   std::unique_ptr<vsync::GroupService> groups_;
   semantics::HistoryRecorder history_;
   /// Owned here, not by the servers: crash_reset wipes a server's memory,

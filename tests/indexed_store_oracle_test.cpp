@@ -6,9 +6,9 @@
 // criteria), same sizes, same snapshots.
 //
 // Families checked against the spec, all fed identical workloads:
-//   HashStore(0), OrderedStore(0), CompositeStore(0),
-//   IndexedStore(fields) in plain mode, IndexedStore(fields) in ordered
-//   mode (sorted twins + selectivity planner).
+//   HashStore(0), OrderedStore(0), IndexedStore(fields) in plain mode,
+//   IndexedStore(fields) in ordered mode (sorted twins + selectivity
+//   planner).
 // Criteria cover Exact / OneOf-with-duplicates / IntRange / RealRange /
 // TextPrefix / TypedAny / AnyField plus the query-engine additions: Range
 // with open and exclusive bounds (including type-mismatched bounds that
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "storage/composite_store.hpp"
 #include "storage/hash_store.hpp"
 #include "storage/indexed_store.hpp"
 #include "storage/linear_store.hpp"
@@ -149,7 +148,6 @@ std::vector<Family> make_families(const std::vector<std::size_t>& fields) {
   std::vector<Family> families;
   families.push_back({"hash", std::make_unique<HashStore>(0)});
   families.push_back({"ordered", std::make_unique<OrderedStore>(0)});
-  families.push_back({"composite", std::make_unique<CompositeStore>(0)});
   families.push_back({"indexed", std::make_unique<IndexedStore>(fields)});
   families.push_back(
       {"indexed+sorted",

@@ -43,6 +43,47 @@ TEST(TopologyTest, MessageCostAddsEndSegmentsAndBridgeHops) {
                    18.0 + (50 + 0.5 * 8) + 18.0);
 }
 
+TEST(TopologyTest, ChargePricesEveryLegExactly) {
+  // Three segments with different alpha/beta, bridges at 50 + 0.5/byte.
+  const Topology t({net::Segment{CostModel{10, 1}},
+                    net::Segment{CostModel{4, 0.25}},
+                    net::Segment{CostModel{20, 2}}},
+                   {0, 1, 2}, 50, 0.5);
+  constexpr std::size_t kBytes = 8;  // bridge hop: 50 + 0.5 * 8 = 54
+  struct Row {
+    const char* name;
+    std::uint32_t src, dst;
+    bool shed;
+    Cost cost, alpha;
+    std::uint32_t hops;
+    Cost src_leg, bridge_leg, dst_leg;
+  };
+  const Row rows[] = {
+      // 4 + 0.25 * 8 on segment 1 alone.
+      {"intra-segment", 1, 1, false, 6, 4, 0, 6, 0, 0},
+      // (10 + 8) + 54 + (4 + 2).
+      {"one hop", 0, 1, false, 78, 10 + 4 + 50, 1, 18, 54, 6},
+      // (20 + 16) + 2 * 54 + (10 + 8), hops taken either direction.
+      {"two hops", 2, 0, false, 162, 20 + 10 + 100, 2, 36, 108, 18},
+      // Shed at the destination ingress: source bus + bridges only.
+      {"shed two hops", 0, 2, true, 126, 10 + 100, 2, 18, 108, 0},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    const net::Charge c = net::charge(t, row.src, row.dst, kBytes, row.shed);
+    EXPECT_EQ(c.cost, row.cost);
+    EXPECT_EQ(c.alpha, row.alpha);
+    EXPECT_EQ(c.hops, row.hops);
+    EXPECT_EQ(c.src, row.src_leg);
+    EXPECT_EQ(c.bridge, row.bridge_leg);
+    EXPECT_EQ(c.dst, row.dst_leg);
+    if (!row.shed && row.src != row.dst) {  // machine m sits on segment m
+      EXPECT_EQ(t.message_cost(MachineId{row.src}, MachineId{row.dst}, kBytes),
+                row.cost);
+    }
+  }
+}
+
 TEST(TopologyTest, DegenerateResolvesToOneSegmentOverTheDefaultModel) {
   const Topology resolved = Topology{}.resolve(4, CostModel{7, 2});
   EXPECT_FALSE(resolved.degenerate());
