@@ -251,6 +251,10 @@ int main() {
       const CostTriple cost = cluster.ledger().since(before);
       std::printf("%-10s %5zu | %8.1f %8.1f | %s\n", family.name, live,
                   cost.time, cost.work, family.analytic);
+      result_line("table1_costs",
+                  std::string("family=") + family.name +
+                      "/l=" + std::to_string(live),
+                  1, 0, cost.msg_cost, 0, cost.work);
     }
   }
 

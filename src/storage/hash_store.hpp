@@ -2,44 +2,22 @@
 // with I(.) = D(.) = Q(.) = O(1) model cost (the normalization the Basic
 // algorithm's analysis assumes).
 //
-// The index maps the hash of a designated key field to the ages of objects
-// carrying that key. Criteria with an Exact pattern on the key field use the
-// index; anything else falls back to an age-ordered scan (still correct,
-// since PASO criteria are general — the fallback is what "permitting general
-// search criteria" costs on a dictionary structure).
+// A named configuration of IndexedStore: one hash index on the key field.
+// Exact and OneOf patterns on the key field go to their buckets; anything
+// else falls back to the age-ordered scan (the cost of "permitting general
+// search criteria" on a dictionary structure). IndexedStore's plain-mode
+// costs with one index are already the family's 1/1/1.
 #pragma once
 
-#include <unordered_map>
-#include <vector>
-
-#include "storage/store_base.hpp"
+#include "storage/indexed_store.hpp"
 
 namespace paso::storage {
 
-class HashStore final : public StoreBase {
+class HashStore final : public IndexedStore {
  public:
-  explicit HashStore(std::size_t key_field = 0) : key_field_(key_field) {}
+  explicit HashStore(std::size_t key_field = 0) : IndexedStore({key_field}) {}
 
-  void store(PasoObject object, std::uint64_t age) override;
-  std::optional<PasoObject> find(const SearchCriterion& sc) const override;
-  std::optional<PasoObject> remove(const SearchCriterion& sc) override;
-  bool erase(ObjectId id) override;
-
-  Cost insert_cost() const override { return 1; }
-  Cost query_cost() const override { return 1; }
-  Cost remove_cost() const override { return 1; }
   const char* kind() const override { return "hash"; }
-
-  std::size_t key_field() const { return key_field_; }
-
- private:
-  void index_cleared() override { buckets_.clear(); }
-  /// Oldest age matching `sc`, or nullopt.
-  std::optional<std::uint64_t> oldest_match(const SearchCriterion& sc) const;
-  void drop_from_bucket(const PasoObject& object, std::uint64_t age);
-
-  std::size_t key_field_;
-  std::unordered_map<std::size_t, std::vector<std::uint64_t>> buckets_;
 };
 
 }  // namespace paso::storage

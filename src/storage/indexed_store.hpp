@@ -1,5 +1,7 @@
-// Multi-field associative store: HashStore generalized to a configurable
-// set of indexed fields, with an optional sorted twin per index.
+// Multi-field associative store: a configurable set of indexed fields, with
+// an optional sorted twin per index. It is the one index engine; HashStore
+// (one plain index) and OrderedStore (one ordered index, tree-normalized
+// update costs) are named configurations of it.
 //
 // Section 5 allows "several such data structures ... for a single class";
 // IndexedStore takes that to its useful extreme. Each indexed field keeps a
@@ -22,7 +24,7 @@
 
 namespace paso::storage {
 
-class IndexedStore final : public StoreBase {
+class IndexedStore : public StoreBase {
  public:
   struct Options {
     /// Maintain a sorted twin per indexed field. Costs one extra model unit
@@ -40,8 +42,8 @@ class IndexedStore final : public StoreBase {
   };
 
   /// `indexed_fields` lists the field positions to index. The default — just
-  /// field 0 — makes IndexedStore a drop-in for HashStore(0). Duplicate
-  /// positions are collapsed.
+  /// field 0 — is the HashStore(0) configuration. Duplicate positions are
+  /// collapsed.
   explicit IndexedStore(std::vector<std::size_t> indexed_fields = {0});
   IndexedStore(std::vector<std::size_t> indexed_fields, Options options);
 

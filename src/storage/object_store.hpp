@@ -10,6 +10,8 @@
 //   * HashStore    — dictionary queries, I(.) = D(.) = Q(.) = O(1)
 //   * OrderedStore — range queries on a key field (search tree), Q = q > 1
 //   * LinearStore  — text pattern matching by scan, Q = Theta(l)
+// HashStore and OrderedStore are configurations of one index engine,
+// IndexedStore (indexed_store.hpp); only their cost functions differ.
 // Every store reports *model* costs (the I/Q/D functions used in Figure 1
 // and in Section 5's normalization) alongside doing real work; benches
 // measure both.

@@ -1,49 +1,30 @@
 // Order-indexed store: the "binary search tree for range queries" of
 // Section 5. Model costs follow the paper's extension of the Basic
 // algorithm: insertion and deletion are normalized to 1 time unit and a
-// query costs q > 1 units. By default q tracks log2 of the store size; a
-// fixed q can be injected for experiments that assume it constant.
+// query costs q = Q(l) = 1 + floor(log2(l+1)) units.
+//
+// A named configuration of IndexedStore: one ordered-mode index on the key
+// field, whose sorted twin serves Range/IntRange/RealRange/TextPrefix walks
+// and rank-ordered TopK reads. It differs from that plain configuration
+// only in its update costs.
 #pragma once
 
-#include <map>
-#include <vector>
-
-#include "storage/store_base.hpp"
+#include "storage/indexed_store.hpp"
 
 namespace paso::storage {
 
-class OrderedStore final : public StoreBase {
+class OrderedStore final : public IndexedStore {
  public:
-  /// `fixed_query_cost` = 0 means Q(l) = 1 + floor(log2(l+1)).
-  explicit OrderedStore(std::size_t key_field = 0, Cost fixed_query_cost = 0)
-      : key_field_(key_field), fixed_query_cost_(fixed_query_cost) {}
+  explicit OrderedStore(std::size_t key_field = 0)
+      : IndexedStore({key_field}, {.ordered = true}) {}
 
-  void store(PasoObject object, std::uint64_t age) override;
-  std::optional<PasoObject> find(const SearchCriterion& sc) const override;
-  std::optional<PasoObject> remove(const SearchCriterion& sc) override;
-  bool erase(ObjectId id) override;
-
+  /// The paper's tree normalization: I = D = 1 unit. IndexedStore's ordered
+  /// mode charges 2 per update (hash bucket plus sorted twin); without these
+  /// overrides every insert and read&del on a tree class would double its
+  /// `work`.
   Cost insert_cost() const override { return 1; }
-  Cost query_cost() const override;
   Cost remove_cost() const override { return 1; }
   const char* kind() const override { return "ordered"; }
-
- private:
-  using Iter = std::multimap<Value, std::uint64_t>::const_iterator;
-
-  void index_cleared() override { index_.clear(); }
-  std::optional<std::uint64_t> oldest_match(const SearchCriterion& sc) const;
-  /// Serves TopK: a directional region walk when the rank field is the key
-  /// field and the scoring hook is order-preserving, else the spec scan.
-  std::optional<std::uint64_t> ranked_match(const SearchCriterion& sc) const;
-  Iter region_first(const SortedRegion& region) const;
-  Iter region_last(const SortedRegion& region, Iter first) const;
-  void drop_from_index(const PasoObject& object, std::uint64_t age);
-
-  std::size_t key_field_;
-  Cost fixed_query_cost_;
-  // Key value -> ages of objects with that key, ordered by key for ranges.
-  std::multimap<Value, std::uint64_t> index_;
 };
 
 }  // namespace paso::storage

@@ -115,6 +115,32 @@ TEST_F(MixedStoreTest, RangeClassChargesLogarithmicWork) {
   EXPECT_DOUBLE_EQ(cost.work, 10.0);
 }
 
+TEST_F(MixedStoreTest, RangeClassUpdatesChargeUnitWorkPerReplica) {
+  // The tree family's normalization: I = D = 1 per replica, whatever the
+  // store size (only queries pay the logarithmic descent).
+  const ProcessId p = cluster_.process(MachineId{0});
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(cluster_.insert_sync(
+        p, {Value{static_cast<double>(i)}, Value{std::int64_t{i}}}));
+  }
+  const ClassId cls = *schema_.classify({Value{1.0}, Value{std::int64_t{0}}});
+  const auto support = cluster_.basic_support(cls);
+  const auto g = static_cast<double>(support.size());
+  const ProcessId member = cluster_.process(support.front());
+
+  auto before = cluster_.ledger().snapshot();
+  ASSERT_TRUE(
+      cluster_.insert_sync(member, {Value{100.0}, Value{std::int64_t{100}}}));
+  EXPECT_DOUBLE_EQ(cluster_.ledger().since(before).work, g * 1);
+
+  before = cluster_.ledger().snapshot();
+  ASSERT_TRUE(cluster_
+                  .read_del_sync(member, criterion(RealRange{50.0, 50.5},
+                                                   TypedAny{FieldType::kInt}))
+                  .has_value());
+  EXPECT_DOUBLE_EQ(cluster_.ledger().since(before).work, g * 1);
+}
+
 TEST_F(MixedStoreTest, StateTransferWorksPerStoreKind) {
   const ProcessId p = cluster_.process(MachineId{0});
   for (int i = 0; i < 15; ++i) {
